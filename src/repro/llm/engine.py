@@ -1337,8 +1337,8 @@ class SimulatedLLMEngine:
                     break
                 self._preempt_member(victim)
                 base -= 1
-                # Re-select below: select is deterministic and
-                # mutation-free, so the same candidate comes back.
+                # Re-select below: the resubmitted victim may now be
+                # the head.
                 continue
             req = sched.select(cache if cache_on else None, now=self._clock)
             if req is None:
@@ -1821,12 +1821,12 @@ class SimulatedLLMEngine:
         else:
             entry = (new_prompt + d, hit) if cache_on else (prompt_len + d, 0)
             swapped_in = 0
+        # Cached tokens count once per request, at first admission (like
+        # prompt_tokens); the re-prefill work still adds to prefill_tokens.
         vect = self._vstate
         if vect is not None:
-            vect.cached[m.idx] += hit
             vect.prefill[m.idx] += entry[0]
         else:
-            m.metrics.cached_tokens += hit
             m.metrics.prefill_tokens += entry[0]
         wave.append(entry)
         return swapped_in

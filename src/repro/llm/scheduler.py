@@ -111,8 +111,9 @@ class SchedulerPolicy:
     """Waiting pool + selection rule for arrived requests.
 
     The engine calls :meth:`select` to peek at the next admission candidate
-    (repeatedly — the call must be deterministic and mutation-free given an
-    unchanged pool and clock) and :meth:`pop` to commit the admission.
+    (repeatedly — given an unchanged pool and clock the call must return
+    the same request; it may reorganize internal state, never the choice)
+    and :meth:`pop` to commit the admission.
     ``cache`` is the engine's radix cache (None when prefix caching is
     off); policies may probe it with the side-effect-free ``match_len`` /
     ``match_many`` only. ``now`` is the engine clock at the admission point — the clock
@@ -139,7 +140,8 @@ class SchedulerPolicy:
         raise NotImplementedError
 
     def pop(self, request: Request) -> None:
-        """Remove ``request`` — must be the current :meth:`select` choice."""
+        """Remove ``request`` — the request :meth:`select` last returned;
+        a preemption resubmit may have changed the head since."""
         raise NotImplementedError
 
     def preempt_victim(
@@ -401,10 +403,29 @@ class DeadlinePolicy(SchedulerPolicy):
     re-shedding let that happen; see
     ``test_scheduler.py::TestDeadlineStarvation``).
 
-    Selection is an O(pool) mutation-free scan (same shape as
-    :class:`PrefixAffinityPolicy`); the late/on-time split depends only on
-    ``now``, which the engine passes from its event clock, so repeated
-    selects at one admission point agree across replay modes.
+    Three min-heaps keep :meth:`select`, :meth:`pop` and
+    :meth:`next_priority_shift` at O(log n) amortized:
+
+    * the **on-time** heap, keyed ``(absolute deadline, submit seq)``,
+      holds deadline-less requests and explicit-deadline requests not yet
+      late;
+    * the **late** heap, keyed by submit seq: :meth:`select` moves
+      explicit-deadline on-time tops with ``deadline < now`` here. The
+      sweep stops at a deadline-less top — its key never changes with
+      time and out-ranks every late key, so late entries buried beneath
+      it cannot be the head yet;
+    * the **expiry** heap, keyed ``(deadline, seq)`` over
+      explicit-deadline requests, answers :meth:`next_priority_shift` and
+      reports sheds to a bound tracer.
+
+    Deletion is lazy: the live set maps submit seq to request, and an
+    entry whose seq is no longer live (popped, or resubmitted under a
+    fresh seq after a preemption) is dropped when it surfaces. :meth:`pop`
+    can therefore remove any waiting request, not only the head.
+
+    Precondition: ``now`` never decreases across calls. The move to the
+    late heap is one-way, which is sound only because time moves forward;
+    the engine clock does.
     """
 
     name = "deadline"
@@ -413,59 +434,50 @@ class DeadlinePolicy(SchedulerPolicy):
         if deadline_s <= 0:
             raise ServingError(f"deadline_s must be positive, got {deadline_s}")
         self.deadline_s = deadline_s
-        self._pool: List[Tuple[int, Request]] = []  # (submit seq, request)
         self._seq = 0
+        #: Waiting requests by submit seq (insertion order is seq order,
+        #: which is the drain order), and each one's seq by identity.
+        self._live: Dict[int, Request] = {}
+        self._seq_of: Dict[int, int] = {}
+        self._ontime: List[Tuple[float, int, Request]] = []
+        self._late: List[Tuple[int, Request]] = []
+        self._expiry: List[Tuple[float, int, Request]] = []
         #: Requests already reported as shed to the trace recorder — one
         #: instant per request lifetime, however many selects see it late.
         self._shed_ids: set = set()
-        #: Shed detection off the selection scan: explicit-deadline
-        #: waiters land on this (deadline, seq, request) min-heap at
-        #: submit (only while a tracer is bound) and :meth:`select`
-        #: drains the expired prefix — O(sheds log n) total instead of a
-        #: per-member branch on every scan, keeping the traced scan the
-        #: same shape as the untraced one.
-        self._shed_heap: List[Tuple[float, int, Request]] = []
-        self._pooled: set = set()  # request ids currently waiting
 
     def deadline_of(self, request: Request) -> float:
         """Absolute deadline of ``request`` (arrival + relative SLO)."""
-        rel = getattr(request, "deadline_s", None)
+        rel = request.deadline_s
         return request.arrival_s + (rel if rel is not None else self.deadline_s)
 
-    def _key(self, seq: int, req: Request, now: float) -> Tuple[int, float, int]:
-        deadline = self.deadline_of(req)
-        if getattr(req, "deadline_s", None) is None:
-            # Deadline-less: a time-invariant EDF key — never shed to the
-            # late bucket, so queue age monotonically improves its rank.
-            return (0, deadline, seq)
-        late = 1 if deadline < now else 0
-        # Late requests fall back to FCFS order behind every on-time one.
-        return (late, seq, seq) if late else (late, deadline, seq)
-
     def submit(self, request: Request) -> None:
-        self._pool.append((self._seq, request))
-        if self._tracer is not None:
-            self._pooled.add(request.request_id)
-            if getattr(request, "deadline_s", None) is not None:
-                heappush(
-                    self._shed_heap,
-                    (self.deadline_of(request), self._seq, request),
-                )
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        self._live[seq] = request
+        self._seq_of[id(request)] = seq
+        deadline = self.deadline_of(request)
+        heappush(self._ontime, (deadline, seq, request))
+        if request.deadline_s is not None:
+            heappush(self._expiry, (deadline, seq, request))
 
-    def _drain_sheds(self, now: float) -> None:
-        """Report every explicit deadline that expired while its request
-        was still waiting: the shed decision itself, recorded at the
-        first select that sees it late. Selection order is untouched (the
-        instant only records it), and the seen-set keeps resubmitted
-        (preempted) requests from re-reporting."""
-        heap = self._shed_heap
+    def _expire(self, now: float) -> None:
+        """Drop the expiry entries whose deadline passed before ``now``.
+        With a tracer bound, each one still waiting is reported as shed:
+        the shed decision itself, recorded at the first select that sees
+        it late. The seen-set keeps resubmitted (preempted) requests from
+        re-reporting."""
+        heap = self._expiry
+        live = self._live
+        tracer = self._tracer
         while heap and heap[0][0] < now:
-            deadline, _, req = heappop(heap)
+            deadline, seq, req = heappop(heap)
+            if tracer is None or seq not in live:
+                continue
             rid = req.request_id
-            if rid in self._pooled and rid not in self._shed_ids:
+            if rid not in self._shed_ids:
                 self._shed_ids.add(rid)
-                self._tracer.instant(
+                tracer.instant(
                     "shed",
                     request_id=rid,
                     tenant=req.tenant,
@@ -473,26 +485,33 @@ class DeadlinePolicy(SchedulerPolicy):
                 )
 
     def select(self, cache=None, now: float = 0.0) -> Optional[Request]:
-        if not self._pool:
+        live = self._live
+        if not live:
             return None
-        heap = self._shed_heap
-        if heap and heap[0][0] < now and self._tracer is not None:
-            self._drain_sheds(now)
-        best = None
-        best_key: Optional[Tuple[int, float, int]] = None
-        for seq, req in self._pool:
-            key = self._key(seq, req, now)
-            if best is None or key < best_key:
-                best, best_key = req, key
-        return best
+        self._expire(now)
+        ontime = self._ontime
+        while ontime:
+            deadline, seq, req = ontime[0]
+            if seq not in live:
+                heappop(ontime)
+            elif deadline < now and req.deadline_s is not None:
+                # Late: FCFS behind every on-time request from now on.
+                heappop(ontime)
+                heappush(self._late, (seq, req))
+            else:
+                return req
+        late = self._late
+        # Every live seq sits in the on-time or the late heap, so a live
+        # entry surfaces before the heap runs dry.
+        while late[0][0] not in live:
+            heappop(late)
+        return late[0][1]
 
     def pop(self, request: Request) -> None:
-        for i, (_, req) in enumerate(self._pool):
-            if req is request:
-                del self._pool[i]
-                self._pooled.discard(request.request_id)
-                return
-        raise ServingError("pop of a request not in the pool")
+        seq = self._seq_of.pop(id(request), None)
+        if seq is None:
+            raise ServingError("pop of a request not in the pool")
+        del self._live[seq]
 
     def preempt_victim(
         self,
@@ -521,22 +540,35 @@ class DeadlinePolicy(SchedulerPolicy):
         with different preemption leverage — emerges. Deadline-less
         requests have time-invariant keys, so their expiry shifts
         nothing."""
-        best = None
-        for _, req in self._pool:
-            if getattr(req, "deadline_s", None) is None:
-                continue
-            deadline = self.deadline_of(req)
-            if deadline >= now and (best is None or deadline < best):
-                best = deadline
+        heap = self._expiry
+        live = self._live
+        # Live entries already past ``now`` are set aside, not dropped:
+        # the next select still owes their shed report.
+        held = []
+        while heap:
+            deadline, seq, _ = heap[0]
+            if seq not in live:
+                heappop(heap)
+            elif deadline < now:
+                held.append(heappop(heap))
+            else:
+                break
+        best = heap[0][0] if heap else None
+        for entry in held:
+            heappush(heap, entry)
         return best
 
     def drain(self) -> List[Request]:
-        out = [r for _, r in sorted(self._pool, key=lambda e: e[0])]
-        self._pool.clear()
+        out = list(self._live.values())
+        self._live.clear()
+        self._seq_of.clear()
+        self._ontime.clear()
+        self._late.clear()
+        self._expiry.clear()
         return out
 
     def __len__(self) -> int:
-        return len(self._pool)
+        return len(self._live)
 
 
 SCHEDULER_POLICIES = ("fcfs", "sjf", "prefix-affinity", "fair-share", "deadline")

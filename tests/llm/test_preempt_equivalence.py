@@ -266,6 +266,34 @@ class TestModeEquivalenceWithPreemption:
             assert m.n_prefill_chunks != 1
 
 
+class TestCachedTokenAccounting:
+    """A request's cached prefix counts once, at first admission, however
+    often it is preempted and re-admitted (like ``prompt_tokens``); the
+    re-prefill work adds to ``prefill_tokens``, so cached plus prefilled
+    tokens always cover the prompt."""
+
+    @pytest.mark.parametrize("mode", ["stepwise", "event", "vector"])
+    @pytest.mark.parametrize("preemption", ["recompute", "swap"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_cached_tokens_within_prompt(self, seed, preemption, mode):
+        reqs = preempt_workload(random.Random(1000 + seed), n_requests=60)
+        _, r = run_engine(
+            clone(reqs),
+            mode,
+            scheduler="deadline",
+            scheduler_deadline_s=0.8,
+            preemption=preemption,
+            **PRESSURE_CFG,
+        )
+        if serving_preempt_enabled() and serving_online_enabled():
+            assert r.n_preemptions > 0
+        for m in r.request_metrics:
+            assert m.cached_tokens <= m.prompt_tokens, m.request_id
+            assert m.cached_tokens + m.prefill_tokens >= m.prompt_tokens, (
+                m.request_id
+            )
+
+
 class TestOneShotOracle:
     """REPRO_SERVING_PREEMPT=0 reproduces the pre-change engine bit for
     bit, even with preemption/chunking/deadline configured."""
