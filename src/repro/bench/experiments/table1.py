@@ -8,6 +8,7 @@ from repro.bench.experiments.base import dataset
 from repro.bench.queries import FILTER_PROMPTS, RAG_PROMPTS
 from repro.bench.reporting import ExperimentOutput, ResultTable, default_scale
 from repro.core.table import Cell
+from repro.llm.encode_cache import encode_cache_for
 from repro.llm.prompts import build_prompt
 from repro.llm.tokenizer import HashTokenizer
 
@@ -28,6 +29,7 @@ def measure_input_tokens(ds, sample_rows: int = 50) -> int:
     """Average tokenized prompt length over a row sample (the Table 1
     ``input_avg`` metric)."""
     tok = HashTokenizer()
+    cache = encode_cache_for(tok)
     prompt = FILTER_PROMPTS.get(ds.name.lower()) or RAG_PROMPTS.get(ds.name.lower(), "q")
     table = ds.table
     n = min(sample_rows, table.n_rows)
@@ -35,7 +37,7 @@ def measure_input_tokens(ds, sample_rows: int = 50) -> int:
     for i in range(n):
         row = table.row(i)
         cells = tuple(Cell(f, "" if v is None else str(v)) for f, v in row.items())
-        total += tok.count(build_prompt(prompt, cells))
+        total += cache.count(tok, build_prompt(prompt, cells))
     return total // max(1, n)
 
 

@@ -16,6 +16,7 @@ from repro.bench.queries import RAG_PROMPTS
 from repro.bench.reporting import ExperimentOutput, ResultTable, default_scale, fmt_pct
 from repro.core.reorder import reorder
 from repro.core.table import ReorderTable
+from repro.llm.encode_cache import encode_cache_for
 from repro.llm.pricing import (
     APICacheSimulator,
     anthropic_claude35_sonnet,
@@ -45,10 +46,16 @@ def _duplicated_fever(scale: float, seed: int) -> ReorderTable:
     return ReorderTable(ds.table.fields, rows)
 
 
-def _prompt_tokens(table: ReorderTable, policy: str, tok: HashTokenizer) -> List[List[int]]:
+def _prompt_tokens(
+    table: ReorderTable, policy: str, tok: HashTokenizer
+) -> List[Tuple[int, ...]]:
     result = reorder(table, policy=policy)
     prompt = RAG_PROMPTS["fever"]
-    return [tok.encode(build_prompt(prompt, row.cells)) for row in result.schedule.rows]
+    cache = encode_cache_for(tok)
+    return [
+        cache.encode(tok, build_prompt(prompt, row.cells))[0]
+        for row in result.schedule.rows
+    ]
 
 
 def run(scale: Optional[float] = None, seed: int = 0) -> ExperimentOutput:

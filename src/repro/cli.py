@@ -202,6 +202,7 @@ def run_serve_trace(args) -> str:
     """Replay an arrival-timed trace under each scheduling policy and
     render the policy comparison + per-tenant SLO tables."""
     from repro.llm.client import SimulatedLLMClient
+    from repro.llm.encode_cache import format_encode_stats
     from repro.llm.engine import EngineConfig
     from repro.llm.scheduler import SCHEDULER_POLICIES, serving_online_enabled
     from repro.llm.tokenizer import HashTokenizer
@@ -255,14 +256,7 @@ def run_serve_trace(args) -> str:
         ec_stats = client.encode_cache_stats()
         rx_stats = client.radix_stats()
     if last is not None:
-        ec_lookups = ec_stats["hits"] + ec_stats["misses"]
-        ec_rate = ec_stats["hits"] / ec_lookups if ec_lookups else 0.0
-        lines.append(
-            f"encode cache: {ec_stats['hits']} hits / "
-            f"{ec_stats['misses']} misses ({100 * ec_rate:.1f}%), "
-            f"{ec_stats['entries']} entries, "
-            f"{ec_stats['evictions']} evictions"
-        )
+        lines.append(format_encode_stats(ec_stats))
         lines.append(
             f"radix cache: backend={rx_stats['backend']}, "
             f"{rx_stats['nodes']} nodes, "
@@ -295,6 +289,7 @@ def run_serve_cluster(args) -> str:
         ClusterEngine,
         serving_cluster_enabled,
     )
+    from repro.llm.encode_cache import format_encode_stats
     from repro.llm.engine import EngineConfig
     from repro.llm.tokenizer import HashTokenizer
 
@@ -351,14 +346,7 @@ def run_serve_cluster(args) -> str:
     if last is not None:
         # The encode cache rides the tokenizer, shared by every engine in
         # the sweep — one fleet-wide line, matching serve-trace's.
-        ec = last_engine.encode_cache_stats()
-        ec_lookups = ec["hits"] + ec["misses"]
-        ec_rate = ec["hits"] / ec_lookups if ec_lookups else 0.0
-        lines.append(
-            f"encode cache: {ec['hits']} hits / "
-            f"{ec['misses']} misses ({100 * ec_rate:.1f}%), "
-            f"{ec['entries']} entries, {ec['evictions']} evictions"
-        )
+        lines.append(format_encode_stats(last_engine.encode_cache_stats()))
         lines.append("")
         lines.append(last.render_replicas())
         lines.append("")

@@ -11,19 +11,30 @@ rather than once per consumer. The cache survives
 ``SimulatedLLMClient.reset_cache`` — that replaces the engine, not the
 tokenizer.
 
-Caching is exact: the tokenizer's incremental vocabulary gives a fixed
-string the same ids on every call, and returning the *same* tuple object
-for a repeated prompt lets the radix cache reuse its packed probe across
-the match/insert/pin calls of identical prompts.
+The cache has two levels:
 
-Eviction is LRU (the old per-client memos were unbounded-ish FIFO dicts),
-and hit/miss/eviction counts are kept for telemetry.
+* **Prompts.** An LRU map of whole prompt string -> ``(ids, packed)``.
+  A repeated prompt gets back the *same* tuple object, which lets the
+  radix cache reuse its packed probe across the match/insert/pin calls of
+  identical prompts. Every lookup counts as exactly one hit or one miss.
+* **Segments.** A prompt miss does not tokenize the whole string. It
+  splits the text on ``"`` — always a piece boundary of the tokenizer
+  (see :mod:`repro.llm.tokenizer`) — and concatenates the memoized ids of
+  each chunk, tokenizing only chunks it has not seen. Rows that repeat
+  field values, the source of the paper's prefix savings, therefore
+  tokenize each distinct value once. The ``"`` piece is interned at its
+  first position, so a fresh vocabulary assigns exactly the ids that
+  whole-string ``tokenizer.encode`` would.
+
+Caching is exact: the tokenizer's incremental vocabulary gives a fixed
+string the same ids on every call. Both levels are bounded; prompt
+evictions are counted for telemetry.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.llm.radix import pack_tokens
 
@@ -31,16 +42,26 @@ from repro.llm.radix import pack_tokens
 #: replay while keeping worst-case memory in check.
 DEFAULT_MAX_ENTRIES = 1 << 16
 
+#: The segment separator: the tokenizer only ever emits ``"`` as a
+#: one-character piece, so every ``"`` is a piece boundary.
+_SEPARATOR = '"'
+
 
 class EncodeCache:
     """LRU maps of prompt string -> encode result, with telemetry.
 
-    Two maps are kept: ``encode`` entries hold ``(ids tuple, packed
-    bytes)``; ``count`` entries hold bare token counts for strings that
-    were only ever counted (counting does not intern into the tokenizer's
-    vocabulary, so it is cheaper than a full encode). A count request for
-    an already-encoded string is answered from the encode entry without
-    touching the count map.
+    Two prompt-level maps are kept: ``encode`` entries hold ``(ids tuple,
+    packed bytes)``; ``count`` entries hold bare token counts for strings
+    that were only ever counted (counting does not intern into the
+    tokenizer's vocabulary, so it is cheaper than a full encode). A count
+    request for an already-encoded string is answered from the encode
+    entry without touching the count map. ``len()`` and ``entries`` count
+    these prompt-level entries only.
+
+    Below them, a segment map (also ``max_entries`` entries, oldest
+    evicted first) holds the ids of the ``"``-delimited chunks that encode
+    misses are composed from. It is not refreshed on reuse: keeping
+    recency costs more than re-tokenizing an evicted chunk.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -51,6 +72,7 @@ class EncodeCache:
             OrderedDict()
         )
         self._count: "OrderedDict[str, int]" = OrderedDict()
+        self._segments: "OrderedDict[str, List[int]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -70,13 +92,36 @@ class EncodeCache:
             memo.move_to_end(text)
             return entry
         self.misses += 1
-        ids = tuple(tokenizer.encode(text))
+        ids = self._compose(tokenizer, text)
         entry = (ids, pack_tokens(ids))
+        # An encode entry answers counts from now on.
+        self._count.pop(text, None)
         if len(memo) >= self.max_entries:
             memo.popitem(last=False)
             self.evictions += 1
         memo[text] = entry
         return entry
+
+    def _compose(self, tokenizer, text: str) -> Tuple[int, ...]:
+        """``tuple(tokenizer.encode(text))``, built left to right from
+        memoized ``"``-delimited segments. Left-to-right order, with the
+        ``"`` piece interned at its first position, makes a fresh
+        vocabulary assign the same ids as the whole-string encode."""
+        segments = self._segments
+        ids: List[int] = []
+        quote: List[int] = []
+        for i, chunk in enumerate(text.split(_SEPARATOR)):
+            if i:
+                quote = quote or tokenizer.encode(_SEPARATOR)
+                ids += quote
+            seg = segments.get(chunk)
+            if seg is None:
+                seg = tokenizer.encode(chunk)
+                if len(segments) >= self.max_entries:
+                    segments.popitem(last=False)
+                segments[chunk] = seg
+            ids += seg
+        return tuple(ids)
 
     def count(self, tokenizer, text: str) -> int:
         """Token count of ``text`` via ``tokenizer``, cached."""
@@ -106,11 +151,25 @@ class EncodeCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
+            "segments": len(self._segments),
         }
 
     def clear(self) -> None:
         self._encode.clear()
         self._count.clear()
+        self._segments.clear()
+
+
+def format_encode_stats(stats: Dict[str, int]) -> str:
+    """The one-line report of :meth:`EncodeCache.stats`, shared by every
+    command and report that prints encode-cache telemetry."""
+    lookups = stats["hits"] + stats["misses"]
+    rate = stats["hits"] / lookups if lookups else 0.0
+    return (
+        f"encode cache: {stats['hits']} hits / {stats['misses']} misses "
+        f"({100 * rate:.1f}%), {stats['entries']} entries, "
+        f"{stats['segments']} segments, {stats['evictions']} evictions"
+    )
 
 
 def encode_cache_for(

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ServingError
 from repro.llm.client import BatchResult, SimulatedLLMClient, TraceResult
 from repro.llm.cluster import ClusterConfig, ClusterEngine, ClusterResult
+from repro.llm.encode_cache import format_encode_stats
 from repro.llm.engine import EngineConfig
 from repro.llm.hardware import CLUSTER_1XL4, Cluster
 from repro.llm.models import LLAMA3_8B, ModelSpec
@@ -330,14 +331,7 @@ class BatchInferenceServer:
             f"lifetime hit rate {100 * self.stats.lifetime_hit_rate:.1f}% over "
             f"{len(self.stats.jobs)} jobs, {self.stats.total_seconds:.2f}s simulated"
         )
-        ec = self.client.encode_cache_stats()
-        lookups = ec["hits"] + ec["misses"]
-        rate = ec["hits"] / lookups if lookups else 0.0
-        lines.append(
-            f"encode cache: {ec['hits']} hits / {ec['misses']} misses "
-            f"({100 * rate:.1f}%), {ec['entries']} entries, "
-            f"{ec['evictions']} evictions"
-        )
+        lines.append(format_encode_stats(self.client.encode_cache_stats()))
         rx = self.client.radix_stats()
         lines.append(
             f"radix cache: backend={rx['backend']}, {rx['nodes']} nodes, "

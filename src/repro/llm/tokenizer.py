@@ -14,6 +14,13 @@ properties the experiments depend on:
 
 Ids are assigned incrementally on first sight (a learned vocabulary works
 the same way), which makes ``decode(encode(s)) == s`` exact.
+
+**Every ``"`` is a piece boundary.** ``_PIECE_RE`` only ever matches
+``"`` as a one-character piece of its own, and no other piece can start
+or end across it, so for any string ``encode(a + '"' + b)`` is
+``encode(a) + encode('"') + encode(b)`` in pieces. The encode cache
+(:mod:`repro.llm.encode_cache`) relies on this to compose prompt ids from
+memoized ``"``-delimited segments; changing the piece pattern must keep it.
 """
 
 from __future__ import annotations

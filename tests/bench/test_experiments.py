@@ -24,6 +24,14 @@ from repro.bench.experiments import (
     table7,
 )
 
+from repro.bench.experiments.base import dataset
+from repro.bench.queries import FILTER_PROMPTS, RAG_PROMPTS
+from repro.core.reorder import reorder
+from repro.core.table import Cell
+from repro.llm.encode_cache import encode_cache_for
+from repro.llm.prompts import build_prompt
+from repro.llm.tokenizer import HashTokenizer
+
 SCALE = 0.004
 
 
@@ -111,6 +119,37 @@ class TestTable3:
     def test_original_gets_no_openai_hits(self):
         out = table3.run(scale=SCALE)
         assert out.metrics["openai.original_phr"] == pytest.approx(0.0, abs=0.02)
+
+
+class TestExhibitsEncodePath:
+    """Table 1 and Table 3 tokenize through the shared encode cache; their
+    token streams equal a bare whole-string tokenizer's."""
+
+    def test_table3_prompt_ids_match_whole_string_encode(self):
+        table = table3._duplicated_fever(SCALE, 0)
+        tok, ref = HashTokenizer(), HashTokenizer()
+        for policy in ("original", "ggr"):
+            rows = reorder(table, policy=policy).schedule.rows
+            want = [ref.encode(build_prompt(RAG_PROMPTS["fever"], r.cells))
+                    for r in rows]
+            got = table3._prompt_tokens(table, policy, tok)
+            assert [list(ids) for ids in got] == want
+        assert encode_cache_for(tok).stats()["misses"] > 0
+
+    def test_table1_input_tokens_match_bare_count(self):
+        for name in ("movies", "fever"):
+            ds = dataset(name, SCALE, 0)
+            tok = HashTokenizer()
+            query = FILTER_PROMPTS.get(name) or RAG_PROMPTS[name]
+            n = min(50, ds.table.n_rows)
+            total = 0
+            for i in range(n):
+                cells = tuple(
+                    Cell(f, "" if v is None else str(v))
+                    for f, v in ds.table.row(i).items()
+                )
+                total += tok.count(build_prompt(query, cells))
+            assert table1.measure_input_tokens(ds) == total // n
 
 
 class TestTable4:
