@@ -17,8 +17,8 @@ CI runner alike.
 ``<=``; it states both the acceptance bound and the metric's direction
 (``>=`` means bigger is better). Example record::
 
-    {"benchmark": "engine_replay_vector_speedup", "value": 2.31,
-     "criterion": ">= 2.0", "commit": "6dc5e44"}
+    {"benchmark": "engine_replay_vector_vs_stepwise_speedup",
+     "value": 13.18, "criterion": ">= 6.5", "commit": "c08ff88"}
 """
 
 from __future__ import annotations

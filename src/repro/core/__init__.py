@@ -8,8 +8,8 @@ Modules
 ``compiled``
     Dictionary-encoded columnar form of a table (int32 value codes,
     precomputed length/squared-length arrays, shared cell pool), built
-    once per table and cached. All solver hot paths run on it when numpy
-    is available; ``REPRO_CORE_FASTPATH=0`` forces the pure-Python
+    once per table and cached. All solver hot paths run on it;
+    ``REPRO_CORE_FASTPATH=0`` forces the pure-Python
     reference paths, which stay the equivalence oracle.
 ``phc``
     The prefix hit count objective (paper Eq. 1-2) and derived metrics.

@@ -23,7 +23,7 @@ lengths. ``GGRConfig.square_fd_lengths=False`` restores the printed
 Two interchangeable engines implement the identical algorithm:
 
 ``"compiled"``
-    The default when numpy is available. Runs on the dictionary-encoded
+    The default. Runs on the dictionary-encoded
     columnar form from :mod:`repro.core.compiled`: grouping is
     ``np.bincount`` over int32 value codes, HITCOUNT scoring is vectorized
     over whole columns, and the fallback's lexicographic sort is a stable
@@ -32,8 +32,8 @@ Two interchangeable engines implement the identical algorithm:
     so both engines return **identical schedules and scores** — the
     equivalence suite asserts this on randomized tables.
 ``"python"``
-    The original string-path reference, kept as the oracle and as the
-    fallback when numpy is missing or ``REPRO_CORE_FASTPATH=0``.
+    The original string-path reference, kept as the oracle;
+    ``REPRO_CORE_FASTPATH=0`` selects it under ``"auto"``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class GGRConfig:
     recursion depth 4, column recursion depth 2. ``hitcount_threshold`` is
     the alternative early-stop trigger (the paper quotes 0.1M for its full
     datasets); 0 disables it. ``engine`` selects the implementation:
-    ``"auto"`` uses the compiled columnar fast path when numpy is
-    available, ``"python"`` forces the string-path reference oracle.
+    ``"auto"`` uses the compiled columnar fast path unless
+    ``REPRO_CORE_FASTPATH=0``, ``"python"`` forces the string-path
+    reference oracle.
     """
 
     max_row_depth: int = 4
@@ -131,8 +132,6 @@ def ggr(
     engine = cfg.engine
     if engine == "auto":
         engine = "compiled" if fastpath_enabled() else "python"
-    elif engine == "compiled" and not _compiled.HAVE_NUMPY:
-        raise SolverError("engine='compiled' requires numpy")
 
     if engine == "compiled":
         ct = compile_table(table)

@@ -100,7 +100,7 @@ class PartitionedResult:
     """How the table reached the workers: ``"cow-fork"`` (inherited
     copy-on-write), ``"shared-memory"`` (attached from a
     ``multiprocessing.shared_memory`` segment, zero per-worker pickling),
-    ``"pickle"`` (serialized once per worker), or ``"in-process"``."""
+    or ``"in-process"``."""
 
     @property
     def critical_path_seconds(self) -> float:
@@ -254,18 +254,14 @@ def partitioned_reorder(
             transport = "cow-fork"
             initializer, initargs = _init_worker, (table, fds, config)
         else:
-            from repro.core.compiled import HAVE_NUMPY, export_shared_table
+            from repro.core.compiled import export_shared_table
 
-            if HAVE_NUMPY:
-                # Spawn/forkserver: export the dictionary codes once into
-                # shared memory; each worker attaches by name and rebuilds
-                # the table without the parent re-pickling it per worker.
-                transport = "shared-memory"
-                handle, shm = export_shared_table(table)
-                initializer, initargs = _init_worker_shared, (handle, fds, config)
-            else:
-                transport = "pickle"
-                initializer, initargs = _init_worker, (table, fds, config)
+            # Spawn/forkserver: export the dictionary codes once into
+            # shared memory; each worker attaches by name and rebuilds the
+            # table without the parent re-pickling it per worker.
+            transport = "shared-memory"
+            handle, shm = export_shared_table(table)
+            initializer, initargs = _init_worker_shared, (handle, fds, config)
         logger.info(
             "partitioned_reorder pool: %d workers, start method %s, "
             "table transport %s",

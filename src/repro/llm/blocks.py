@@ -16,11 +16,16 @@ the free pool in a Python list and refcounts in a dict — the reference
 implementation. ``vector=True`` keeps the free pool as a numpy stack and
 refcounts as a numpy array, so multi-block operations (a prompt path's
 fork bundle, a decode tail's growth, a victim's release) are single slab
-operations instead of per-block Python loops; profiling the event replay
-showed those loops were roughly half its runtime. The vectorized engine
-mode selects it (``REPRO_SERVING_VECTOR=0`` restores the scalar manager
-everywhere); both backends implement identical semantics — same counts,
-same errors, same block-id hand-out order.
+operations instead of per-block Python loops; profiling the event-driven
+replay showed those loops were roughly half its runtime. The engine's
+``mode="vector"`` runs on the numpy backend and the stepwise oracle on
+the scalar one. Both backends implement identical semantics — same
+counts, same errors, same block-id hand-out order
+(``tests/llm/test_blocks_churn.py`` drives them in lockstep) — with one
+exception: releasing a bundle (:meth:`BlockManager.fork_ids`) can return
+its freed blocks to the pool in a different order on the two backends
+(the numpy backend walks the bundle's distinct ids, the scalar one its
+multiset), so later hand-outs may pick different ids. Counts stay equal.
 """
 
 from __future__ import annotations
@@ -29,12 +34,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import CapacityError, ServingError
+import numpy as _np
 
-try:  # numpy backs the vectorized serving paths; its absence only
-    import numpy as _np  # disables them (the scalar oracle remains).
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
+from repro.errors import CapacityError, ServingError
 
 
 def paged_accounting_enabled() -> bool:
@@ -42,18 +44,6 @@ def paged_accounting_enabled() -> bool:
     (the default) instead of the token-sum oracle.
     ``REPRO_SERVING_PAGED=0`` forces the oracle everywhere."""
     flag = os.environ.get("REPRO_SERVING_PAGED", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def serving_vector_enabled() -> bool:
-    """Whether the vectorized serving fast paths (numpy engine replay
-    state, numpy block accounting) are enabled. ``REPRO_SERVING_VECTOR=0``
-    forces the scalar event/stepwise implementations everywhere, mirroring
-    ``REPRO_SERVING_FASTPATH`` one layer down; the flag is also off when
-    numpy is unavailable."""
-    if _np is None:
-        return False
-    flag = os.environ.get("REPRO_SERVING_VECTOR", "1").strip().lower()
     return flag not in ("0", "false", "off", "no")
 
 
@@ -107,6 +97,9 @@ class BlockManager:
         Total KV token capacity (device memory / bytes-per-token).
     block_tokens:
         Tokens per block (16 in vLLM by default).
+    vector:
+        Use the numpy backend (the vector engine mode's); the default is
+        the scalar reference backend the stepwise oracle runs on.
     """
 
     def __init__(
@@ -122,8 +115,6 @@ class BlockManager:
                 f"capacity of {capacity_tokens} tokens holds zero "
                 f"{block_tokens}-token blocks"
             )
-        if vector and _np is None:
-            raise ServingError("vector block accounting requires numpy")
         self.block_tokens = block_tokens
         self.n_blocks = capacity_tokens // block_tokens
         self.vector = vector

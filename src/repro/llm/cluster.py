@@ -60,8 +60,8 @@ Execution backends (``ClusterConfig.backend``):
     and each worker attaches by name and rebuilds only its replica's
     requests — nothing is pickled per request. Replay is deterministic
     arithmetic on the same integers, so spawn merges **bit-identically**
-    with inline (enforced by the equivalence suite). Without numpy or a
-    usable process pool the backend degrades to inline.
+    with inline (enforced by the equivalence suite). Without a usable
+    process pool the backend degrades to inline.
 
 **One global event clock.** Routing happens in arrival order against
 router-side state only, so the assignment is independent of the backend;
@@ -90,6 +90,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.errors import ServingError
 from repro.llm.costmodel import CostModel
 from repro.llm.encode_cache import encode_cache_for
@@ -102,11 +104,6 @@ from repro.llm.scheduler import SLOReport, compute_slo
 from repro.llm.tokenizer import HashTokenizer
 from repro.llm.tracing import EngineTrace
 from repro.llm.workload import WorkloadTrace
-
-try:  # numpy backs the spawn backend's shared-memory token transport.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
 
 #: Routing-policy registry for :class:`ClusterConfig` / :func:`make_router`.
 ROUTING_POLICIES = ("round-robin", "least-queue", "prefix-aware", "tenant-sharded")
@@ -853,7 +850,7 @@ class ClusterEngine:
 
         transport = "in-process"
         replays: Optional[List[Tuple[EngineResult, Dict[str, int]]]] = None
-        if self.backend == "spawn" and self.n_replicas > 1 and _np is not None:
+        if self.backend == "spawn" and self.n_replicas > 1:
             replays, transport = self._run_spawn(requests, assignment)
         if replays is None:
             replays = [

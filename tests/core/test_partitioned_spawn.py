@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from repro.core.compiled import HAVE_NUMPY
 from repro.core.fd import FunctionalDependencies
 from repro.core.partitioned import partitioned_reorder
 from repro.core.table import ReorderTable
@@ -110,8 +109,7 @@ class TestTransportMetadata:
             table, 4, parallel=True, max_workers=2, start_method="spawn"
         )
         if res.start_method == "spawn":
-            expected = "shared-memory" if HAVE_NUMPY else "pickle"
-            assert res.worker_transport == expected
+            assert res.worker_transport == "shared-memory"
 
     def test_unknown_start_method_rejected(self):
         table = random_table(random.Random(9))

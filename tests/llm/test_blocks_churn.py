@@ -7,22 +7,19 @@ preemption is on — a victim's tail is parked mid-decode while radix
 eviction releases shared path blocks and a re-admission forks them back.
 This suite removes the engine from the loop and hammers the allocator
 directly, on both the scalar and numpy backends, ending every sequence by
-draining to a full free pool (nothing leaked, nothing invented).
+draining to a full free pool (nothing leaked, nothing invented). A
+lockstep run drives both backends with one op sequence and holds them to
+the same block ids, counts and errors after every op.
 """
 
 import random
 
 import pytest
 
-from repro.errors import CapacityError, ServingError
+from repro.errors import CapacityError, ReproError, ServingError
 from repro.llm.blocks import BlockManager
 
-try:
-    import numpy  # noqa: F401
-
-    BACKENDS = [False, True]
-except ImportError:  # pragma: no cover - environment without numpy
-    BACKENDS = [False]
+BACKENDS = [False, True]
 
 
 class Churner:
@@ -171,6 +168,156 @@ class Churner:
         assert self.bm.parked_tokens == 0
 
 
+class Lockstep:
+    """One seeded op sequence driving the scalar and the numpy backend side
+    by side. Every op must return the same block ids on both, or raise the
+    same error type on both; valid and invalid ops are drawn alike."""
+
+    TENANTS = ("alpha", "beta")
+
+    def __init__(self, rng, n_blocks=64, block_tokens=16):
+        self.rng = rng
+        self.bms = [
+            BlockManager(
+                capacity_tokens=n_blocks * block_tokens,
+                block_tokens=block_tokens,
+                vector=vector,
+            )
+            for vector in BACKENDS
+        ]
+        for bm in self.bms:
+            bm.set_tenant_quota("alpha", 20)
+        self.live = []  # [scalar allocation, numpy allocation] pairs
+        self.dead = []  # released pairs, for use-after-free probes
+
+    def both(self, fn):
+        """``fn(bm, side)`` on each backend; returns both results, or None
+        after checking both raised the same error type."""
+        results, errors = [], []
+        for side, bm in enumerate(self.bms):
+            try:
+                results.append(fn(bm, side))
+            except ReproError as exc:
+                errors.append(type(exc))
+        if errors:
+            assert len(errors) == 2 and errors[0] is errors[1], errors
+            return None
+        return results
+
+    def pick(self):
+        return self.live[self.rng.randrange(len(self.live))]
+
+    @staticmethod
+    def assert_same(pair):
+        a, b = pair
+        assert a.block_ids == b.block_ids
+        assert a.n_tokens == b.n_tokens
+        assert a.start_offset == b.start_offset
+
+    # ------------------------------------------------------------------ ops
+    def op_allocate(self):
+        n = self.rng.randrange(0, 90)
+        pair = self.both(lambda bm, _: bm.allocate(n))
+        if pair is not None:
+            self.assert_same(pair)
+            self.live.append(pair)
+
+    def op_fork(self):
+        if self.live:
+            pair = self.pick()
+            forked = self.both(lambda bm, side: bm.fork(pair[side]))
+            self.assert_same(forked)
+            self.live.append(forked)
+
+    def op_split(self):
+        candidates = [p for p in self.live if p[0].n_tokens >= 2]
+        if not candidates:
+            return
+        pair = self.rng.choice(candidates)
+        self.live = [p for p in self.live if p is not pair]
+        cut = self.rng.randrange(1, pair[0].n_tokens)
+        halves = self.both(lambda bm, side: bm.split(pair[side], cut))
+        head, tail = zip(*halves)
+        self.assert_same(head)
+        self.assert_same(tail)
+        self.live += [list(head), list(tail)]
+
+    def op_grow(self):
+        if self.live:
+            pair = self.pick()
+            extra = self.rng.randrange(0, 60)
+            self.both(lambda bm, side: bm.grow(pair[side], extra))
+            self.assert_same(pair)
+
+    def op_release(self):
+        if self.live:
+            pair = self.live.pop(self.rng.randrange(len(self.live)))
+            self.both(lambda bm, side: bm.release(pair[side]))
+            self.dead.append(pair)
+
+    def op_park(self):
+        if self.live:
+            pair = self.live.pop(self.rng.randrange(len(self.live)))
+            parked = self.both(lambda bm, side: bm.park(pair[side]))
+            assert parked[0] == parked[1]
+            self.dead.append(pair)
+
+    def op_unpark(self):
+        n = self.rng.randrange(0, self.bms[0].parked_tokens + 8)
+        pair = self.both(lambda bm, _: bm.unpark(n))
+        if pair is not None:
+            self.assert_same(pair)
+            self.live.append(pair)
+
+    def op_charge(self):
+        tenant = self.rng.choice(self.TENANTS)
+        blocks = self.rng.randrange(0, 10)
+        self.both(lambda bm, _: bm.charge_tenant(tenant, blocks))
+
+    def op_uncharge(self):
+        tenant = self.rng.choice(self.TENANTS)
+        blocks = self.rng.randrange(0, 10)
+        self.both(lambda bm, _: bm.uncharge_tenant(tenant, blocks))
+
+    def op_misuse(self):
+        """Use-after-free: every such call must fail on both backends."""
+        if self.dead:
+            pair = self.rng.choice(self.dead)
+            call = self.rng.choice(
+                (BlockManager.release, BlockManager.fork, BlockManager.grow)
+            )
+            args = (1,) if call is BlockManager.grow else ()
+            assert self.both(lambda bm, side: call(bm, pair[side], *args)) is None
+
+    OPS = (
+        op_allocate,
+        op_fork,
+        op_split,
+        op_grow,
+        op_release,
+        op_park,
+        op_unpark,
+        op_charge,
+        op_uncharge,
+        op_misuse,
+    )
+
+    def run(self, n_ops=300):
+        scalar, numpy_bm = self.bms
+        for _ in range(n_ops):
+            self.rng.choice(self.OPS)(self)
+            for bm in self.bms:
+                bm.check_invariants()
+            assert scalar.free_blocks == numpy_bm.free_blocks
+            assert scalar.parked_tokens == numpy_bm.parked_tokens
+            for t in self.TENANTS:
+                assert scalar.tenant_used(t) == numpy_bm.tenant_used(t)
+        while self.live:
+            pair = self.live.pop()
+            self.both(lambda bm, side: bm.release(pair[side]))
+        assert scalar.free_blocks == numpy_bm.free_blocks == scalar.n_blocks
+
+
 class TestBlockChurn:
     @pytest.mark.parametrize("vector", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
@@ -185,6 +332,12 @@ class TestBlockChurn:
         Churner(
             random.Random(100 + seed), vector, n_blocks=48, block_tokens=1
         ).run()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_backends_lockstep(self, seed):
+        """The two backends' shared contract: same counts, same errors,
+        same block-id hand-out order."""
+        Lockstep(random.Random(200 + seed)).run()
 
     @pytest.mark.parametrize("vector", BACKENDS)
     def test_park_then_total_eviction_then_unpark(self, vector):

@@ -183,7 +183,7 @@ class TestEngineConfigValidation:
     def test_valid_names_still_accepted(self):
         for scheduler in ("auto", "fcfs", "sjf", "prefix-affinity", "fair-share"):
             EngineConfig(scheduler=scheduler)
-        for mode in ("auto", "vector", "event", "stepwise"):
+        for mode in ("auto", "vector", "stepwise"):
             EngineConfig(mode=mode)
         for acc in ("auto", "paged", "tokens"):
             EngineConfig(kv_accounting=acc)

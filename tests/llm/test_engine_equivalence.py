@@ -1,6 +1,7 @@
-"""Randomized equivalence: event-driven engine vs the stepwise oracle.
+"""Randomized equivalence: event-driven (vector) engine vs the stepwise
+oracle.
 
-The event engine must reproduce the stepwise loop's integer metrics
+The vector engine must reproduce the stepwise loop's integer metrics
 *exactly* (cached/prefill/decode tokens, peak KV, batch sizes, decode
 steps, cache hit/miss/evicted counters) and its clocks to float rounding
 (1e-6 relative) — the closed-form decode-run sum replaces a per-token
@@ -14,7 +15,7 @@ import random
 
 import pytest
 
-from repro.errors import CapacityError
+from repro.errors import CapacityError, ServingError
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
@@ -24,6 +25,10 @@ from repro.llm.radix import (
     serving_radix_enabled,
 )
 from repro.llm.request import Request
+
+#: Both replay loops, for suites parametrized over them. The event-driven
+#: loop (``mode="vector"``) keeps the test id "event".
+MODES = [pytest.param("vector", id="event"), "stepwise"]
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
@@ -60,10 +65,10 @@ def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
 
 
 def run_mode(requests, mode, waves=1, **cfg_kwargs):
-    # This suite checks replay-mode (event vs stepwise) equivalence; its
+    # This suite checks replay-mode (vector vs stepwise) equivalence; its
     # tight-capacity workloads are sized in tokens, so it runs on the
     # token-sum accounting oracle. Paged-accounting equivalence (including
-    # event vs stepwise under blocks) lives in test_paged_equivalence.py.
+    # vector vs stepwise under blocks) lives in test_paged_equivalence.py.
     cfg_kwargs.setdefault("kv_accounting", "tokens")
     eng = SimulatedLLMEngine(
         LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode=mode, **cfg_kwargs)
@@ -88,22 +93,22 @@ def assert_equivalent(requests, waves=1, **cfg_kwargs):
         for r in requests
     ]
     e_step, r_step = run_mode(oracle_reqs, "stepwise", waves=waves, **cfg_kwargs)
-    e_evt, r_evt = run_mode(requests, "event", waves=waves, **cfg_kwargs)
+    e_vec, r_vec = run_mode(requests, "vector", waves=waves, **cfg_kwargs)
 
-    assert e_step.mode == "stepwise" and e_evt.mode == "event"
+    assert e_step.mode == "stepwise" and e_vec.mode == "vector"
     # The stepwise oracle always keeps the node tree + scan eviction; the
-    # event engine resolves the fast cache (flat array-backed when numpy
-    # and REPRO_SERVING_RADIX allow, node tree + lazy heap otherwise).
+    # vector engine resolves the fast cache (flat array-backed when
+    # REPRO_SERVING_RADIX allows, node tree + lazy heap otherwise).
     assert e_step.cache.backend == "node" and e_step.cache.eviction == "scan"
     if serving_radix_enabled() and serving_fastpath_enabled():
-        assert e_evt.cache.backend == "flat"
+        assert e_vec.cache.backend == "flat"
     else:
         # REPRO_SERVING_FASTPATH=0 also forces the scan eviction oracle.
-        assert e_evt.cache.backend == "node"
+        assert e_vec.cache.backend == "node"
         expected = "heap" if serving_fastpath_enabled() else "scan"
-        assert e_evt.cache.eviction == expected
+        assert e_vec.cache.eviction == expected
 
-    for rs, re in zip(r_step, r_evt):
+    for rs, re in zip(r_step, r_vec):
         # Integer metrics: identical.
         assert re.prompt_tokens == rs.prompt_tokens
         assert re.cached_tokens == rs.cached_tokens
@@ -134,10 +139,10 @@ def assert_equivalent(requests, waves=1, **cfg_kwargs):
             )
 
     # Cache-level counters: identical call sequence, identical victims.
-    assert e_evt.cache.hits == e_step.cache.hits
-    assert e_evt.cache.misses == e_step.cache.misses
-    assert e_evt.cache.evicted_tokens == e_step.cache.evicted_tokens
-    assert e_evt.cache.total_tokens == e_step.cache.total_tokens
+    assert e_vec.cache.hits == e_step.cache.hits
+    assert e_vec.cache.misses == e_step.cache.misses
+    assert e_vec.cache.evicted_tokens == e_step.cache.evicted_tokens
+    assert e_vec.cache.total_tokens == e_step.cache.total_tokens
 
 
 class TestRandomizedEquivalence:
@@ -200,7 +205,6 @@ class TestRandomizedEquivalence:
 class TestEventModeBasics:
     def test_default_mode_is_vector(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_SERVING_VECTOR", raising=False)
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "vector"
         if serving_radix_enabled() and serving_fastpath_enabled():
@@ -208,19 +212,13 @@ class TestEventModeBasics:
         else:
             assert eng.cache.eviction == "heap"
 
-    def test_vector_flag_selects_scalar_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_SERVING_VECTOR", "0")
-        eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
-        assert eng.mode == "event"
-        if serving_radix_enabled() and serving_fastpath_enabled():
-            assert eng.cache.backend == "flat"
-        else:
-            assert eng.cache.eviction == "heap"
+    def test_event_mode_rejected(self):
+        """Only ``vector`` and ``stepwise`` replay loops exist."""
+        with pytest.raises(ServingError, match="unknown engine mode"):
+            EngineConfig(mode="event")
 
     def test_radix_flag_selects_node_backend(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVING_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_SERVING_VECTOR", raising=False)
         monkeypatch.setenv("REPRO_SERVING_RADIX", "0")
         eng = SimulatedLLMEngine(LLAMA3_8B, CLUSTER_1XL4)
         assert eng.mode == "vector"
@@ -236,7 +234,7 @@ class TestEventModeBasics:
 
     def test_capacity_error_in_both_modes(self):
         big = Request(0, tuple(range(2000)), 10)
-        for mode in ("vector", "event", "stepwise"):
+        for mode in ("vector", "stepwise"):
             eng = SimulatedLLMEngine(
                 LLAMA3_8B,
                 CLUSTER_1XL4,

@@ -4,7 +4,7 @@ The contract: with every arrival at t=0 and the ``fcfs`` policy, the
 online path (arrival heap -> policy pool -> policy-driven admission) must
 reproduce the offline engine's schedules, integer metrics and cache
 counters *exactly*, and its clocks to float rounding (1e-6 relative) — in
-both replay modes (event and stepwise). ``REPRO_SERVING_ONLINE=0`` must
+both replay modes (vector and stepwise). ``REPRO_SERVING_ONLINE=0`` must
 force that offline shape end to end even when a different policy and real
 arrival stamps are configured.
 """
@@ -20,6 +20,8 @@ from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.workload import TraceRequest, WorkloadTrace
+
+from tests.llm.test_engine_equivalence import MODES
 
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
@@ -117,7 +119,7 @@ class TestOnlineEquivalence:
     (exercising request construction, the scheduler pool, and SLO stamps
     on top of the engine loops)."""
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
     def test_trace_at_t0_matches_generate(self, mode, seed):
         rng = random.Random(seed)
@@ -157,7 +159,7 @@ class TestOnlineEquivalence:
             assert m.arrival_s == 0.0
             assert m.queueing_delay_s == m.admitted_at_s
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
     def test_engine_level_roomy(self, mode, seed):
         rng = random.Random(100 + seed)
@@ -177,7 +179,7 @@ class TestOnlineEquivalence:
 
         assert_online_matches_offline(make, mode)
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(4))
     def test_engine_level_memory_pressure(self, mode, seed):
         rng = random.Random(200 + seed)
@@ -201,7 +203,7 @@ class TestOnlineEquivalence:
             make, mode, kv_capacity_tokens=need + slack, max_batch_size=8
         )
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_engine_level_multi_wave(self, mode, seed):
         rng = random.Random(300 + seed)
@@ -226,7 +228,7 @@ class TestPagedOnlineEquivalence:
     """The online path composes with paged-KV admission: fcfs @ t=0 still
     matches offline under block accounting, both modes."""
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_paged_roomy(self, mode, seed):
         rng = random.Random(400 + seed)
@@ -298,7 +300,7 @@ class TestOfflineGate:
 
 
 class TestOnlineEventVsStepwise:
-    """With real (timed) arrivals, the event loop's arrival-cut decode
+    """With real (timed) arrivals, the vector loop's arrival-cut decode
     runs must land on the same step boundaries the stepwise loop walks:
     identical schedules and integer metrics, clocks to float rounding.
     Deterministic seeds (fixed workloads), all four policies."""
@@ -330,9 +332,9 @@ class TestOnlineEventVsStepwise:
         _, r_step = run_engine(
             make(), "stepwise", scheduler=policy, max_batch_size=4
         )
-        _, r_evt = run_engine(
-            make(), "event", scheduler=policy, max_batch_size=4
+        _, r_vec = run_engine(
+            make(), "vector", scheduler=policy, max_batch_size=4
         )
         # Completion order can differ only through float boundaries; the
         # chosen seeds are verified deterministic.
-        assert_results_equal(r_step[0], r_evt[0])
+        assert_results_equal(r_step[0], r_vec[0])

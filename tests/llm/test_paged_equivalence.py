@@ -24,7 +24,7 @@ from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.request import Request
 
-from tests.llm.test_engine_equivalence import random_workload
+from tests.llm.test_engine_equivalence import MODES, random_workload
 
 
 def run_accounting(requests, kv_accounting, mode, block_tokens=1, waves=1, **cfg):
@@ -110,13 +110,13 @@ def assert_paged_matches_tokens(requests, mode, waves=1, **cfg):
 
 
 class TestPagedMatchesTokenOracle:
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
     def test_roomy_capacity(self, mode, seed):
         rng = random.Random(seed)
         assert_paged_matches_tokens(random_workload(rng), mode)
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(6))
     def test_memory_pressure(self, mode, seed):
         """Tight capacity: eviction and blocked admission decisions must
@@ -130,7 +130,7 @@ class TestPagedMatchesTokenOracle:
             reqs, mode, kv_capacity_tokens=need + slack, max_batch_size=8
         )
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_no_cache_baseline(self, mode, seed):
         rng = random.Random(6000 + seed)
@@ -144,7 +144,7 @@ class TestPagedMatchesTokenOracle:
             max_batch_size=16,
         )
 
-    @pytest.mark.parametrize("mode", ["event", "stepwise"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", range(3))
     def test_persistent_cache_across_runs(self, mode, seed):
         rng = random.Random(7000 + seed)
@@ -154,15 +154,15 @@ class TestPagedMatchesTokenOracle:
 
 
 def assert_modes_agree(requests, block_tokens, **cfg):
-    """Event vs stepwise replay must agree under paged accounting at any
+    """Vector vs stepwise replay must agree under paged accounting at any
     block size (same admission authority, same schedules)."""
     e_s, r_s = run_accounting(
         fresh(requests), "paged", "stepwise", block_tokens=block_tokens, **cfg
     )
-    e_e, r_e = run_accounting(
-        fresh(requests), "paged", "event", block_tokens=block_tokens, **cfg
+    e_v, r_v = run_accounting(
+        fresh(requests), "paged", "vector", block_tokens=block_tokens, **cfg
     )
-    for rs, re in zip(r_s, r_e):
+    for rs, re in zip(r_s, r_v):
         assert re.cached_tokens == rs.cached_tokens
         assert re.decode_steps == rs.decode_steps
         assert re.peak_kv_tokens == rs.peak_kv_tokens
@@ -172,7 +172,7 @@ def assert_modes_agree(requests, block_tokens, **cfg):
         assert re.total_seconds == pytest.approx(
             rs.total_seconds, rel=1e-6, abs=1e-9
         )
-    assert e_e.cache.evicted_tokens == e_s.cache.evicted_tokens
+    assert e_v.cache.evicted_tokens == e_s.cache.evicted_tokens
 
 
 class TestPagedBlockGranularity:
@@ -200,7 +200,7 @@ class TestPagedBlockGranularity:
             Request(i, tuple(range(1000 * i, 1000 * i + 37)), 5)
             for i in range(8)
         ]
-        _, (res,) = run_accounting(fresh(reqs), "paged", "event", block_tokens=16)
+        _, (res,) = run_accounting(fresh(reqs), "paged", "vector", block_tokens=16)
         assert res.kv_accounting == "paged"
         assert res.block_tokens == 16
         assert res.peak_kv_blocks > 0
@@ -209,7 +209,7 @@ class TestPagedBlockGranularity:
         # Block charge always covers the tokens actually stored.
         assert res.peak_kv_blocks * 16 >= res.peak_kv_tokens
 
-        _, (oracle,) = run_accounting(fresh(reqs), "tokens", "event")
+        _, (oracle,) = run_accounting(fresh(reqs), "tokens", "vector")
         assert oracle.kv_accounting == "tokens"
         assert oracle.peak_kv_blocks == 0
         assert oracle.fragmentation_tokens == 0
@@ -220,7 +220,7 @@ class TestPagedBlockGranularity:
         once (fork refs), not N times."""
         shared = tuple(range(160))  # exactly 10 blocks of 16
         reqs = [Request(i, shared, 1) for i in range(6)]
-        _, (res,) = run_accounting(fresh(reqs), "paged", "event", block_tokens=16)
+        _, (res,) = run_accounting(fresh(reqs), "paged", "vector", block_tokens=16)
         # 10 shared prompt blocks + one decode-tail block per request.
         assert res.peak_kv_blocks == 10 + 6
 

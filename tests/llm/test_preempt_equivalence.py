@@ -4,10 +4,9 @@ Two contracts:
 
 * **Mode equivalence with the features ON**: with decode preemption
   (recompute or swap), chunked prefill, and the deadline EDF scheduler
-  all active, the three replay modes still agree — stepwise vs event to
+  all active, the two replay modes still agree — vector vs stepwise to
   float rounding (1e-6 relative clocks, identical integer metrics
-  including every preemption/chunk counter), event vs vector exactly
-  (bit-identical clocks).
+  including every preemption/chunk counter).
 
 * **The one-shot oracle**: ``REPRO_SERVING_PREEMPT=0`` forces a config
   with preemption, chunking and the deadline policy down to the
@@ -104,6 +103,12 @@ def clone(requests):
     ]
 
 
+#: Both replay loops plus the default ``mode="auto"``, which resolves to
+#: the event-driven vector loop (stepwise under REPRO_SERVING_FASTPATH=0).
+#: The auto case keeps the test id "event".
+MODES_AND_AUTO = ["stepwise", pytest.param("auto", id="event"), "vector"]
+
+
 def run_engine(requests, mode, **cfg_kwargs):
     eng = SimulatedLLMEngine(
         LLAMA3_8B, CLUSTER_1XL4, EngineConfig(mode=mode, **cfg_kwargs)
@@ -145,8 +150,8 @@ CLOCK_FIELDS = ("admitted_at_s", "first_token_at_s", "finished_at_s")
 
 
 def assert_results_match(r_a, r_b, exact_clocks):
-    """Integer metrics identical; clocks exact (event vs vector) or to
-    1e-6 relative (stepwise vs event)."""
+    """Integer metrics identical; clocks exact (same mode) or to 1e-6
+    relative (vector vs stepwise)."""
     for f in INT_RESULT_FIELDS:
         assert getattr(r_b, f) == getattr(r_a, f), f
     if exact_clocks:
@@ -170,7 +175,7 @@ def assert_results_match(r_a, r_b, exact_clocks):
 
 
 class TestModeEquivalenceWithPreemption:
-    """stepwise ~ event == vector with preemption + chunking + EDF on."""
+    """stepwise ~ vector with preemption + chunking + EDF on."""
 
     @pytest.mark.parametrize("preemption", ["recompute", "swap"])
     @pytest.mark.parametrize("chunk", [None, 64])
@@ -185,12 +190,10 @@ class TestModeEquivalenceWithPreemption:
             **PRESSURE_CFG,
         )
         _, r_step = run_engine(clone(reqs), "stepwise", **cfg)
-        _, r_event = run_engine(clone(reqs), "event", **cfg)
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
-        assert_results_match(r_step, r_event, exact_clocks=False)
-        assert_results_match(r_event, r_vect, exact_clocks=True)
+        assert_results_match(r_step, r_vect, exact_clocks=False)
         # Rollups are exactly the per-request sums.
-        for res in (r_event, r_vect):
+        for res in (r_step, r_vect):
             assert res.n_preemptions == sum(
                 m.n_preemptions for m in res.request_metrics
             )
@@ -218,10 +221,8 @@ class TestModeEquivalenceWithPreemption:
         )
         cfg.update(cfg_axis)
         _, r_step = run_engine(clone(reqs), "stepwise", **cfg)
-        _, r_event = run_engine(clone(reqs), "event", **cfg)
         _, r_vect = run_engine(clone(reqs), "vector", **cfg)
-        assert_results_match(r_step, r_event, exact_clocks=False)
-        assert_results_match(r_event, r_vect, exact_clocks=True)
+        assert_results_match(r_step, r_vect, exact_clocks=False)
 
     @features_on
     def test_preemption_actually_fires(self):
@@ -272,7 +273,7 @@ class TestCachedTokenAccounting:
     re-prefill work adds to ``prefill_tokens``, so cached plus prefilled
     tokens always cover the prompt."""
 
-    @pytest.mark.parametrize("mode", ["stepwise", "event", "vector"])
+    @pytest.mark.parametrize("mode", ["stepwise", "vector"])
     @pytest.mark.parametrize("preemption", ["recompute", "swap"])
     @pytest.mark.parametrize("seed", range(2))
     def test_cached_tokens_within_prompt(self, seed, preemption, mode):
@@ -298,7 +299,7 @@ class TestOneShotOracle:
     """REPRO_SERVING_PREEMPT=0 reproduces the pre-change engine bit for
     bit, even with preemption/chunking/deadline configured."""
 
-    @pytest.mark.parametrize("mode", ["stepwise", "event", "vector"])
+    @pytest.mark.parametrize("mode", MODES_AND_AUTO)
     @pytest.mark.parametrize("seed", range(3))
     def test_env_flag_forces_one_shot(self, mode, seed, monkeypatch):
         reqs = preempt_workload(random.Random(500 + seed))
@@ -324,7 +325,7 @@ class TestOneShotOracle:
         assert r_forced.n_preemptions == 0
         assert r_forced.n_prefill_chunks == 0
 
-    @pytest.mark.parametrize("mode", ["stepwise", "event", "vector"])
+    @pytest.mark.parametrize("mode", MODES_AND_AUTO)
     def test_off_config_matches_plain_fcfs(self, mode):
         """preemption="off" + monolithic prefill is the same engine as
         before the refactor regardless of the env flag."""
@@ -364,7 +365,7 @@ class TestTenantQuota:
         for t in quota:
             assert eng.blocks.tenant_used(t) == 0
 
-    @pytest.mark.parametrize("mode", ["stepwise", "event", "vector"])
+    @pytest.mark.parametrize("mode", MODES_AND_AUTO)
     def test_quota_equivalent_across_modes(self, mode):
         reqs = preempt_workload(random.Random(77), n_requests=30)
         cfg = dict(
@@ -375,9 +376,9 @@ class TestTenantQuota:
             tenant_kv_quota_blocks={"tenant-0": 14},
             **PRESSURE_CFG,
         )
-        _, r_ref = run_engine(clone(reqs), "event", **cfg)
-        _, r = run_engine(clone(reqs), mode, **cfg)
-        assert_results_match(r_ref, r, exact_clocks=(mode != "stepwise"))
+        _, r_ref = run_engine(clone(reqs), "stepwise", **cfg)
+        eng, r = run_engine(clone(reqs), mode, **cfg)
+        assert_results_match(r_ref, r, exact_clocks=(eng.mode == "stepwise"))
 
     @needs_paged
     def test_oversized_request_names_tenant_and_quota(self):

@@ -2,14 +2,13 @@
 oracle.
 
 The flat array-backed radix cache (``RadixPrefixCache(backend="flat")``,
-the default when numpy is present) must make exactly the same caching
+the default) must make exactly the same caching
 decisions as the node-object tree it replaces: match lengths, eviction
 victims and order, hit/miss/eviction counters, block allocations, and
 therefore every engine clock — compared with plain ``==``, not approx,
 because both backends drive the *same* engine mode and the cache is the
 only thing that differs. ``REPRO_SERVING_RADIX=0`` restores the node
-path end to end, the convention ``test_vector_equivalence.py``
-established for ``REPRO_SERVING_VECTOR``.
+path end to end.
 
 Scope: paged x preemption x chunked-prefill shapes, eviction pressure,
 multi-wave warm caches, timed arrivals, every scheduler policy.
@@ -31,8 +30,8 @@ from repro.llm.request import Request
 
 pytestmark = pytest.mark.skipif(
     not (serving_radix_enabled() and serving_fastpath_enabled()),
-    reason="flat radix backend unavailable (numpy missing, "
-    "REPRO_SERVING_RADIX=0, or REPRO_SERVING_FASTPATH=0)",
+    reason="flat radix backend disabled "
+    "(REPRO_SERVING_RADIX=0 or REPRO_SERVING_FASTPATH=0)",
 )
 
 

@@ -23,8 +23,7 @@ from repro.llm.radix import (
 
 pytestmark = pytest.mark.skipif(
     not serving_radix_enabled(),
-    reason="flat radix backend unavailable (numpy missing or "
-    "REPRO_SERVING_RADIX=0)",
+    reason="flat radix backend disabled (REPRO_SERVING_RADIX=0)",
 )
 
 

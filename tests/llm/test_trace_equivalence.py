@@ -5,10 +5,10 @@ Two contracts (the ISSUE's acceptance axes):
 * **Observer invariance**: tracing ON leaves every ``EngineResult``
   metric — integer counters AND float clocks — **bit-identical** to the
   same replay with tracing OFF, across schedulers x preemption x chunked
-  prefill x KV accounting, in all three replay modes. The recorder only
+  prefill x KV accounting, in both replay modes. The recorder only
   observes; it never perturbs the replay.
 
-* **Mode invariance**: stepwise, event, and vector emit **identical
+* **Mode invariance**: stepwise and vector emit **identical
   span sets** — the same spans, instants, and gauge samples with the
   same simulated-clock stamps under ``==`` — even though the engine
   clocks themselves agree only to float rounding (the recorder's
@@ -30,7 +30,12 @@ from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
 from repro.llm.scheduler import serving_online_enabled, serving_preempt_enabled
 
-MODES = ("stepwise", "event", "vector")
+MODES = ("stepwise", "vector")
+
+#: :data:`MODES` plus the default ``mode="auto"``, which resolves to the
+#: event-driven vector loop (stepwise under REPRO_SERVING_FASTPATH=0).
+#: The auto case keeps the test id "event".
+MODES_AND_AUTO = ("stepwise", pytest.param("auto", id="event"), "vector")
 
 #: The full feature matrix the equivalences must hold over. Equivalence
 #: is gate-agnostic (both sides of every comparison degrade identically
@@ -186,7 +191,7 @@ class TestTracingIsPureObserver:
     """Tracing ON == OFF, bit for bit, over the full feature matrix."""
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", MODES_AND_AUTO)
     @pytest.mark.parametrize("seed", range(3))
     def test_on_off_bit_identical(self, config, mode, seed):
         rng = random.Random(1000 * sorted(CONFIGS).index(config) + seed)
@@ -202,7 +207,7 @@ class TestTracingIsPureObserver:
 
 
 class TestModeInvariantSpans:
-    """stepwise == event == vector span sets, stamps compared with ==."""
+    """stepwise == vector span sets, stamps compared with ==."""
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("seed", range(3))
@@ -215,13 +220,10 @@ class TestModeInvariantSpans:
             _, result = run_traced(clone(reqs), mode, "on", **cfg)
             traces[mode] = result.trace
         ref = traces["stepwise"]
-        for mode in ("event", "vector"):
-            tr = traces[mode]
-            assert tr.spans == ref.spans, mode
-            assert tr.instants == ref.instants, mode
-            assert strip_store_bytes(tr.gauges) == strip_store_bytes(
-                ref.gauges
-            ), mode
+        tr = traces["vector"]
+        assert tr.spans == ref.spans
+        assert tr.instants == ref.instants
+        assert strip_store_bytes(tr.gauges) == strip_store_bytes(ref.gauges)
         # The meta records which mode actually replayed each trace.
         for mode in MODES:
             assert traces[mode].meta["mode"] == mode
@@ -257,7 +259,7 @@ class TestTraceMachineryFires:
         rng = random.Random(42)
         reqs = trace_workload(rng, n_requests=40)
         _, result = run_traced(
-            clone(reqs), "event", "on", **CONFIGS["deadline-swap-chunked"]
+            clone(reqs), "vector", "on", **CONFIGS["deadline-swap-chunked"]
         )
         names = {s.name for s in result.trace.spans}
         assert "queued" in names
@@ -279,7 +281,7 @@ class TestTraceMachineryFires:
         eng = SimulatedLLMEngine(
             LLAMA3_8B,
             CLUSTER_1XL4,
-            EngineConfig(mode="event", trace="on", scheduler="fcfs"),
+            EngineConfig(mode="vector", trace="on", scheduler="fcfs"),
         )
         eng.submit_all(clone(reqs[:12]))
         r1 = eng.run()

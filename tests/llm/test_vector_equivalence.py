@@ -1,36 +1,29 @@
-"""Randomized three-way equivalence: vector vs scalar event vs stepwise.
+"""Randomized equivalence: vectorized replay vs the stepwise oracle.
 
-The vectorized replay (numpy request-state arrays, vectorized block pool,
-arithmetic tail settling) makes exactly the same scheduling decisions and
-runs exactly the same scalar float operations on the clock as the scalar
-event loop, so vector vs event is held to **bit-identical** equality —
-``==`` on every clock and stamp, not approx — plus identical integer
-metrics, cache counters, and paged-block counters. The scalar event loop
-is separately anchored to the per-token stepwise oracle at 1e-6 relative
-(see test_engine_equivalence.py); the three-way tests here close the
-chain vector -> event -> stepwise on shared workloads.
+The vectorized replay (event-driven closed-form decode runs over numpy
+request-state arrays, the numpy block pool, arithmetic tail settling)
+must make exactly the same scheduling decisions as the per-token stepwise
+loop over scalar state and scalar blocks: identical integer metrics, cache
+hit/miss/evicted counters and paged-block counters (peak blocks,
+fragmentation, preemption and chunk counts), and clocks to float rounding
+(1e-6 relative) — the closed-form decode-run sum replaces a per-token
+accumulation, so bit-identical floats are not expected.
 
 Scope: all scheduler policies, online (timed) arrivals, paged block
 accounting, eviction pressure, multi-wave replay, zero-output requests.
+The class names predate the removal of the scalar event loop that sat
+between the two; they are kept so per-test history stays continuous.
 """
 
 import random
 
 import pytest
 
-from repro.llm.blocks import serving_vector_enabled
 from repro.llm.engine import EngineConfig, SimulatedLLMEngine
 from repro.llm.hardware import CLUSTER_1XL4
 from repro.llm.models import LLAMA3_8B
 from repro.llm.radix import pack_tokens
 from repro.llm.request import Request
-
-pytestmark = pytest.mark.skipif(
-    not serving_vector_enabled(),
-    reason="vector serving path unavailable (numpy missing or "
-    "REPRO_SERVING_VECTOR=0)",
-)
-
 
 def random_workload(rng, n_requests=40, vocab=50, max_len=60, max_out=12):
     """Prefix-sharing requests with tenants, zero-output rows, and mixed
@@ -93,83 +86,84 @@ def run_engine(requests, mode, waves=1, **cfg_kwargs):
     return eng, results
 
 
-def assert_bit_identical(rv, re):
-    """Vector vs scalar event: plain ``==`` on everything, clocks included."""
-    assert rv.prompt_tokens == re.prompt_tokens
-    assert rv.cached_tokens == re.cached_tokens
-    assert rv.prefill_tokens == re.prefill_tokens
-    assert rv.decode_tokens == re.decode_tokens
-    assert rv.decode_steps == re.decode_steps
-    assert rv.peak_kv_tokens == re.peak_kv_tokens
-    assert rv.max_batch_seen == re.max_batch_seen
-    assert rv.peak_kv_blocks == re.peak_kv_blocks
-    assert rv.fragmentation_tokens == re.fragmentation_tokens
-    assert rv.total_seconds == re.total_seconds
-    assert len(rv.request_metrics) == len(re.request_metrics)
-    for mv, me in zip(rv.request_metrics, re.request_metrics):
-        assert mv.request_id == me.request_id
-        assert mv.prompt_tokens == me.prompt_tokens
-        assert mv.cached_tokens == me.cached_tokens
-        assert mv.prefill_tokens == me.prefill_tokens
-        assert mv.output_tokens == me.output_tokens
-        assert mv.arrival_s == me.arrival_s
-        assert mv.tenant == me.tenant
-        assert mv.admitted_at_s == me.admitted_at_s
-        assert mv.first_token_at_s == me.first_token_at_s
-        assert mv.finished_at_s == me.finished_at_s
+#: Integer fields held exact between the two loops.
+INT_RESULT_FIELDS = (
+    "prompt_tokens",
+    "cached_tokens",
+    "prefill_tokens",
+    "decode_tokens",
+    "decode_steps",
+    "peak_kv_tokens",
+    "max_batch_seen",
+    "peak_kv_blocks",
+    "fragmentation_tokens",
+    "n_preemptions",
+    "preempted_tokens_recomputed",
+    "preempted_tokens_swapped",
+    "n_prefill_chunks",
+    "peak_waiting",
+)
+INT_METRIC_FIELDS = (
+    "request_id",
+    "prompt_tokens",
+    "cached_tokens",
+    "prefill_tokens",
+    "output_tokens",
+    "arrival_s",
+    "tenant",
+    "n_preemptions",
+    "preempted_tokens_recomputed",
+    "preempted_tokens_swapped",
+    "n_prefill_chunks",
+)
+CLOCK_FIELDS = ("admitted_at_s", "first_token_at_s", "finished_at_s")
 
 
-def assert_close(ra, rb, rel=1e-6):
-    """Event vs stepwise: integers exact, clocks to float rounding."""
-    assert ra.prompt_tokens == rb.prompt_tokens
-    assert ra.cached_tokens == rb.cached_tokens
-    assert ra.prefill_tokens == rb.prefill_tokens
-    assert ra.decode_tokens == rb.decode_tokens
-    assert ra.decode_steps == rb.decode_steps
-    assert ra.peak_kv_tokens == rb.peak_kv_tokens
-    assert ra.max_batch_seen == rb.max_batch_seen
-    assert ra.total_seconds == pytest.approx(rb.total_seconds, rel=rel, abs=1e-9)
-    for ma, mb in zip(ra.request_metrics, rb.request_metrics):
-        assert ma.request_id == mb.request_id
-        assert ma.cached_tokens == mb.cached_tokens
-        assert ma.admitted_at_s == pytest.approx(mb.admitted_at_s, rel=rel, abs=1e-9)
-        assert ma.first_token_at_s == pytest.approx(
-            mb.first_token_at_s, rel=rel, abs=1e-9
-        )
-        assert ma.finished_at_s == pytest.approx(mb.finished_at_s, rel=rel, abs=1e-9)
+def assert_close(rv, rs, rel=1e-6):
+    """Vector vs stepwise: integers exact, clocks to float rounding."""
+    for f in INT_RESULT_FIELDS:
+        assert getattr(rv, f) == getattr(rs, f), f
+    assert rv.total_seconds == pytest.approx(rs.total_seconds, rel=rel, abs=1e-9)
+    assert len(rv.request_metrics) == len(rs.request_metrics)
+    for mv, ms in zip(rv.request_metrics, rs.request_metrics):
+        for f in INT_METRIC_FIELDS:
+            assert getattr(mv, f) == getattr(ms, f), (ms.request_id, f)
+        for f in CLOCK_FIELDS:
+            assert getattr(mv, f) == pytest.approx(
+                getattr(ms, f), rel=rel, abs=1e-9
+            ), (ms.request_id, f)
 
 
-def assert_vector_matches_event(requests, waves=1, **cfg_kwargs):
+def assert_vector_matches_stepwise(requests, waves=1, **cfg_kwargs):
     cfg_kwargs.setdefault("kv_accounting", "tokens")
     e_vec, r_vec = run_engine(clone(requests), "vector", waves=waves, **cfg_kwargs)
-    e_evt, r_evt = run_engine(clone(requests), "event", waves=waves, **cfg_kwargs)
-    assert e_vec.mode == "vector" and e_evt.mode == "event"
-    for rv, re in zip(r_vec, r_evt):
-        assert_bit_identical(rv, re)
-    assert e_vec.cache.hits == e_evt.cache.hits
-    assert e_vec.cache.misses == e_evt.cache.misses
-    assert e_vec.cache.evicted_tokens == e_evt.cache.evicted_tokens
-    assert e_vec.cache.total_tokens == e_evt.cache.total_tokens
-    return r_vec
+    e_step, r_step = run_engine(
+        clone(requests), "stepwise", waves=waves, **cfg_kwargs
+    )
+    assert e_vec.mode == "vector" and e_step.mode == "stepwise"
+    for rv, rs in zip(r_vec, r_step):
+        assert_close(rv, rs)
+    for attr in ("hits", "misses", "evicted_tokens", "total_tokens"):
+        assert getattr(e_vec.cache, attr) == getattr(e_step.cache, attr), attr
 
 
 class TestVectorVsEvent:
-    """Bit-identical vector vs scalar event across the workload space."""
+    """Vector vs stepwise across the workload space."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_roomy_capacity(self, seed):
         rng = random.Random(seed)
-        assert_vector_matches_event(random_workload(rng))
+        assert_vector_matches_stepwise(random_workload(rng))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_memory_pressure(self, seed):
         """Tight KV capacity: eviction churn, blocked admissions, and the
-        partial-release paths the skip-settle finish must mirror."""
+        partial-release paths the vector loop's skip-settle finish takes."""
         rng = random.Random(1000 + seed)
         reqs = random_workload(rng, n_requests=30, max_len=40, max_out=8)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
-        assert_vector_matches_event(
+        assert_vector_matches_stepwise(
             reqs, kv_capacity_tokens=need + slack, max_batch_size=8
         )
 
@@ -179,7 +173,7 @@ class TestVectorVsEvent:
         blocks, and block-denominated eviction."""
         rng = random.Random(2000 + seed)
         reqs = random_workload(rng, n_requests=30)
-        assert_vector_matches_event(
+        assert_vector_matches_stepwise(
             reqs, kv_accounting="paged", block_tokens=16
         )
 
@@ -189,7 +183,7 @@ class TestVectorVsEvent:
         reqs = random_workload(rng, n_requests=30, max_len=40, max_out=8)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
-        assert_vector_matches_event(
+        assert_vector_matches_stepwise(
             reqs,
             kv_accounting="paged",
             block_tokens=8,
@@ -209,18 +203,18 @@ class TestVectorVsEvent:
         for r in reqs:
             t += rng.expovariate(30.0)
             r.arrival_s = t
-        assert_vector_matches_event(reqs, scheduler=policy, max_batch_size=4)
+        assert_vector_matches_stepwise(reqs, scheduler=policy, max_batch_size=4)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_multi_wave(self, seed):
         """Warm prefix cache across runs of one long-lived engine."""
         rng = random.Random(5000 + seed)
-        assert_vector_matches_event(random_workload(rng, n_requests=45), waves=3)
+        assert_vector_matches_stepwise(random_workload(rng, n_requests=45), waves=3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_tiny_batch(self, seed):
         rng = random.Random(6000 + seed)
-        assert_vector_matches_event(
+        assert_vector_matches_stepwise(
             random_workload(rng, n_requests=20), max_batch_size=2
         )
 
@@ -229,13 +223,13 @@ class TestVectorVsEvent:
             Request(i, tuple(range(10 * i, 10 * i + 5)), 0, tenant=f"t{i % 2}")
             for i in range(6)
         ]
-        assert_vector_matches_event(reqs)
+        assert_vector_matches_stepwise(reqs)
 
     def test_no_cache_baseline(self):
         rng = random.Random(7000)
         reqs = random_workload(rng, n_requests=25, max_out=6)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
-        assert_vector_matches_event(
+        assert_vector_matches_stepwise(
             reqs,
             enable_prefix_cache=False,
             kv_capacity_tokens=3 * need,
@@ -244,17 +238,12 @@ class TestVectorVsEvent:
 
 
 class TestThreeWayChain:
-    """vector == event (bit-identical) and event ~= stepwise (1e-6) on the
-    same workload, closing the vector -> stepwise chain."""
+    """Vector vs stepwise on further seeds and accounting shapes."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chain_roomy(self, seed):
         rng = random.Random(8000 + seed)
-        reqs = random_workload(rng)
-        r_vec = assert_vector_matches_event(reqs)
-        _, r_step = run_engine(clone(reqs), "stepwise", kv_accounting="tokens")
-        for rv, rs in zip(r_vec, r_step):
-            assert_close(rv, rs)
+        assert_vector_matches_stepwise(random_workload(rng))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chain_memory_pressure(self, seed):
@@ -262,20 +251,14 @@ class TestThreeWayChain:
         reqs = random_workload(rng, n_requests=30, max_len=40, max_out=8)
         need = max(r.prompt_len + r.output_tokens for r in reqs)
         slack = max(r.prompt_len for r in reqs)
-        cfg = dict(kv_capacity_tokens=need + slack, max_batch_size=8)
-        r_vec = assert_vector_matches_event(reqs, **cfg)
-        _, r_step = run_engine(
-            clone(reqs), "stepwise", kv_accounting="tokens", **cfg
+        assert_vector_matches_stepwise(
+            reqs, kv_capacity_tokens=need + slack, max_batch_size=8
         )
-        for rv, rs in zip(r_vec, r_step):
-            assert_close(rv, rs)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_chain_paged(self, seed):
         rng = random.Random(10_000 + seed)
         reqs = random_workload(rng, n_requests=25)
-        cfg = dict(kv_accounting="paged", block_tokens=16)
-        r_vec = assert_vector_matches_event(reqs, **cfg)
-        _, r_step = run_engine(clone(reqs), "stepwise", **cfg)
-        for rv, rs in zip(r_vec, r_step):
-            assert_close(rv, rs)
+        assert_vector_matches_stepwise(
+            reqs, kv_accounting="paged", block_tokens=16
+        )
